@@ -5,7 +5,9 @@
 //      one MTU (~29 entries).
 //  (b) vs the number of servers (100 preceding creates): more servers keep
 //      more entries un-pushed, so the aggregation collects more.
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -66,7 +68,10 @@ sim::SimTime MeasureOnce(core::Cluster& world, const std::string& dir,
   return st->statdir_latency;
 }
 
-double AverageLatencyUs(uint32_t servers, int creates, int rounds) {
+// Prints one row: average statdir latency over `rounds` fresh directories,
+// plus the cluster's aggregation rounds and how many of them needed no
+// AggDone (no remote server had entries).
+void PrintRow(uint32_t servers, int creates, int rounds, int key) {
   auto world = MakeSwitchFs(servers, 4);
   double total = 0.0;
   for (int round = 0; round < rounds; ++round) {
@@ -75,7 +80,11 @@ double AverageLatencyUs(uint32_t servers, int creates, int rounds) {
     total += sim::ToMicros(MeasureOnce(*world, dir, creates,
                                        std::min(creates, 32)));
   }
-  return total / rounds;
+  const core::ServerStats st = world->TotalStats();
+  std::printf("%10d %14.1f %8llu %14llu\n", key, total / rounds,
+              static_cast<unsigned long long>(st.aggregations),
+              static_cast<unsigned long long>(st.agg_done_skipped));
+  std::fflush(stdout);
 }
 
 }  // namespace
@@ -84,18 +93,17 @@ double AverageLatencyUs(uint32_t servers, int creates, int rounds) {
 int main() {
   using namespace switchfs::bench;
   PrintHeader("Fig 18(a): statdir latency after N creates (8 servers)");
-  std::printf("%10s %14s\n", "creates", "statdir(us)");
+  std::printf("%10s %14s %8s %14s\n", "creates", "statdir(us)", "aggs",
+              "done_skipped");
   for (int creates : {1, 10, 100, 1000, 10000}) {
-    std::printf("%10d %14.1f\n", creates,
-                AverageLatencyUs(8, creates, creates >= 1000 ? 3 : 8));
-    std::fflush(stdout);
+    PrintRow(8, creates, creates >= 1000 ? 3 : 8, creates);
   }
 
   PrintHeader("Fig 18(b): statdir latency after 100 creates vs #servers");
-  std::printf("%10s %14s\n", "servers", "statdir(us)");
+  std::printf("%10s %14s %8s %14s\n", "servers", "statdir(us)", "aggs",
+              "done_skipped");
   for (uint32_t servers : {4u, 8u, 12u, 16u}) {
-    std::printf("%10u %14.1f\n", servers, AverageLatencyUs(servers, 100, 8));
-    std::fflush(stdout);
+    PrintRow(servers, 100, 8, static_cast<int>(servers));
   }
   return 0;
 }

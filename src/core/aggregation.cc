@@ -101,7 +101,6 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
   // entries at their sources. They become AggDone moved rows instead, and
   // each source re-keys its log toward the tombstone's target — the
   // aggregation-path analog of the kMoved push verdict.
-  uint64_t local_max_acked = 0;
   std::map<std::pair<uint32_t, InodeId>, uint64_t> acked;
   std::map<std::pair<uint32_t, InodeId>, AggDone::MovedRow> moved;
   for (size_t i = 0; i < w->collected.size(); ++i) {
@@ -152,13 +151,11 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
       if (it == acked.end()) {
         continue;
       }
-      local_max_acked = std::max(local_max_acked, it->second);
       for (uint64_t lsn : log.AckUpTo(it->second)) {
         ctx_.durable->wal.MarkApplied(lsn);
       }
     }
   }
-  (void)local_max_acked;
 
   auto done = std::make_shared<AggDone>();
   done->fp = fp;
@@ -188,6 +185,16 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
   v->ShardFor(fp).agg_waits.erase(fp);
 
   outcome.ok = true;
+  // AggDone trims remote logs, re-keys moved ones and closes the sessions
+  // of responders that replied with entries. A complete round with no
+  // remote row has no one to tell: every server replied empty, so none
+  // opened a session (one left by a lost non-empty reply to an earlier
+  // attempt is reaped by its watchdog). An incomplete round still
+  // multicasts to close the sessions of the servers that did reply.
+  if (complete && done->acked.empty() && done->moved.empty()) {
+    ctx_.stats->agg_done_skipped++;
+    co_return outcome;
+  }
   if (defer_done) {
     outcome.deferred_done = done;
   } else {
@@ -461,29 +468,16 @@ sim::Task<void> Aggregation::HandleAggCollect(net::Packet p, VolPtr v) {
     v->inval.Add(msg->invalidate_id, ctx_.Now());
   }
 
+  // Snapshot under the shared change-log lock (a session left by an earlier
+  // attempt of this round already holds it). A create holds the exclusive
+  // lock across its insert-ack, so the acquire orders every in-flight create
+  // before the snapshot.
   const psw::Fingerprint fp = msg->fp;
-  auto it = v->ShardFor(fp).agg_sessions.find(fp);
-  if (it == v->ShardFor(fp).agg_sessions.end()) {
-    auto lock =
-        co_await v->ShardFor(fp).changelog_locks.AcquireShared(FpKey(fp));
+  LockTable::Handle lock;
+  if (v->ShardFor(fp).agg_sessions.count(fp) == 0) {
+    lock = co_await v->ShardFor(fp).changelog_locks.AcquireShared(FpKey(fp));
     if (v->dead) co_return;
-    // Re-check: a concurrent collect may have created the session while we
-    // waited for the lock; keep the first session's lock and drop ours.
-    it = v->ShardFor(fp).agg_sessions.find(fp);
-    if (it == v->ShardFor(fp).agg_sessions.end()) {
-      ServerVolatile::AggSession session;
-      session.seq = msg->agg_seq;
-      session.lock = std::move(lock);
-      session.started_at = ctx_.Now();
-      it = v->ShardFor(fp).agg_sessions.emplace(fp, std::move(session)).first;
-      sim::Spawn(ResponderSessionWatchdog(v, fp, msg->agg_seq));
-    } else {
-      it->second.seq = std::max(it->second.seq, msg->agg_seq);
-    }
-  } else {
-    it->second.seq = std::max(it->second.seq, msg->agg_seq);
   }
-
   auto reply = std::make_shared<AggEntries>();
   reply->fp = fp;
   reply->agg_seq = msg->agg_seq;
@@ -500,11 +494,26 @@ sim::Task<void> Aggregation::HandleAggCollect(net::Packet p, VolPtr v) {
       reply->dirs.push_back(std::move(pd));
     }
   }
-  net::CallOptions opts;
-  opts.timeout = sim::Microseconds(500);
-  opts.max_attempts = 5;
-  auto r = co_await ctx_.rpc->Call(msg->initiator_node, reply, opts);
-  (void)r;  // receipt ack only; AggDone (or the watchdog) finishes the session
+
+  // Only a non-empty snapshot opens a session: its entries wait for the
+  // AggDone that trims them, and the lock stays held until then. An empty
+  // snapshot has nothing to ack or protect — any insert we send after this
+  // collect reaches the tracker after its remove and re-dirties the group —
+  // so the lock drops once the reply is out. A concurrent collect may have
+  // opened the session while we waited for the lock; it keeps its own lock.
+  auto it = v->ShardFor(fp).agg_sessions.find(fp);
+  if (it != v->ShardFor(fp).agg_sessions.end()) {
+    it->second.seq = std::max(it->second.seq, msg->agg_seq);
+  } else if (!reply->dirs.empty()) {
+    ServerVolatile::AggSession session;
+    session.seq = msg->agg_seq;
+    session.lock = std::move(lock);
+    session.started_at = ctx_.Now();
+    v->ShardFor(fp).agg_sessions.emplace(fp, std::move(session));
+    sim::Spawn(ResponderSessionWatchdog(v, fp, msg->agg_seq));
+  }
+  // One-way: a lost reply is recovered by the initiator's collect retry.
+  ctx_.rpc->Notify(msg->initiator_node, std::move(reply));
 }
 
 void Aggregation::HandleAggEntries(net::Packet p, VolPtr v) {
@@ -512,7 +521,6 @@ void Aggregation::HandleAggEntries(net::Packet p, VolPtr v) {
   if (msg == nullptr) {
     return;
   }
-  ctx_.rpc->Respond(p, net::MakeMsg<Ack>());
   auto it = v->ShardFor(msg->fp).agg_waits.find(msg->fp);
   if (it == v->ShardFor(msg->fp).agg_waits.end()) {
     return;  // aggregation already finished

@@ -1,16 +1,19 @@
 // Directory aggregation (paper §5.2.2 steps 5-10, §5.4.1): the owner-side
 // collect/apply path that returns a scattered directory to normal state, and
-// the responder-side session handling on every other server.
+// the responder-side handling on every other server.
 //
 // Owner side: RunAggregation removes the fingerprint from the dirty set,
-// multicasts a collect, gathers each server's change-log entries for the
-// group, applies them (hwm-deduplicated, FIFO per source), and multicasts
-// AggDone so the senders mark their WAL records applied. Retries use a fresh
-// remove sequence number until every server replied (§5.4.1).
+// multicasts a collect, gathers each server's one-way AggEntries reply for
+// the group, applies the entries (hwm-deduplicated, FIFO per source), and
+// multicasts AggDone so remote senders trim their logs and mark their WAL
+// records applied. A lost reply is recovered by re-collecting with a fresh
+// remove sequence number until every server replied (§5.4.1). A complete
+// round in which no remote server had entries sends no AggDone.
 //
 // Responder side: HandleAggCollect snapshots local change-logs under a shared
-// change-log lock held for the session; the lock is released by AggDone or,
-// if the initiator dies, by the session watchdog.
+// change-log lock and replies one-way. An empty snapshot releases the lock at
+// once. A non-empty one opens a session that keeps the lock until AggDone
+// or, if the initiator dies, until the session watchdog reaps it.
 #ifndef SRC_CORE_AGGREGATION_H_
 #define SRC_CORE_AGGREGATION_H_
 
@@ -76,7 +79,7 @@ class Aggregation {
   // ---- responder side ----
   sim::Task<void> HandleAggCollect(net::Packet p, VolPtr v);
   void HandleAggDone(const AggDone& done, VolPtr v);
-  void HandleAggEntries(net::Packet p, VolPtr v);  // at initiator
+  void HandleAggEntries(net::Packet p, VolPtr v);  // at initiator (one-way)
 
  private:
   sim::Task<void> ResponderSessionWatchdog(VolPtr v, psw::Fingerprint fp,

@@ -330,6 +330,7 @@ void AccumulateServerStats(ServerStats& total, const ServerStats& st) {
   total.ops += st.ops;
   total.aggregations += st.aggregations;
   total.agg_retries += st.agg_retries;
+  total.agg_done_skipped += st.agg_done_skipped;
   total.entries_applied += st.entries_applied;
   total.entries_deduped += st.entries_deduped;
   total.pushes_sent += st.pushes_sent;

@@ -122,7 +122,7 @@ struct AggCollect : net::Message {
 };
 
 // Responder -> initiator: all pending change-log entries in the fingerprint
-// group (RPC; the response is an empty ack).
+// group (one-way; the initiator re-collects if a reply is lost).
 struct AggEntries : net::Message {
   static constexpr uint32_t kType = 104;
   AggEntries() : Message(kType) {}
@@ -145,7 +145,8 @@ struct Ack : net::Message {
 
 // Initiator -> all responders (multicast): aggregation complete; mark entries
 // up to the per-directory acked seq as applied and release change-log locks
-// (§5.2.2 steps 9a/9b).
+// (§5.2.2 steps 9a/9b). Not sent when every server replied and no remote
+// server had entries (no responder holds a session then).
 struct AggDone : net::Message {
   static constexpr uint32_t kType = 106;
   AggDone() : Message(kType) {}

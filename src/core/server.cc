@@ -176,9 +176,6 @@ void SwitchServer::OnRequest(net::Packet p) {
       }
       sim::Spawn(HandleLookup(std::move(p), std::move(v)));
       break;
-    case AggEntries::kType:
-      agg_.HandleAggEntries(std::move(p), std::move(v));
-      break;
     case PushReq::kType:
       sim::Spawn(push_.HandlePush(std::move(p), std::move(v)));
       break;
@@ -289,6 +286,9 @@ void SwitchServer::OnRaw(net::Packet p) {
   switch (p.body->type) {
     case AggCollect::kType:
       sim::Spawn(agg_.HandleAggCollect(std::move(p), std::move(v)));
+      break;
+    case AggEntries::kType:
+      agg_.HandleAggEntries(std::move(p), std::move(v));
       break;
     case AggDone::kType:
       agg_.HandleAggDone(*static_cast<const AggDone*>(p.body.get()), v);

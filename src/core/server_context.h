@@ -220,6 +220,7 @@ struct ServerStats {
   uint64_t ops = 0;
   uint64_t aggregations = 0;
   uint64_t agg_retries = 0;
+  uint64_t agg_done_skipped = 0;  // complete rounds with no remote rows
   uint64_t entries_applied = 0;
   uint64_t entries_deduped = 0;
   // Push-path counters. pushes_sent counts PushReq packets whose RPC round

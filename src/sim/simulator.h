@@ -22,6 +22,9 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime Now() const { return now_; }
+  // Events executed so far by Step/Run/RunUntil/RunWhileWorkPending: the
+  // simulator's own host-cost unit.
+  uint64_t events_executed() const { return executed_; }
 
   // Schedules fn to run at absolute time `at` (clamped to Now()).
   void ScheduleAt(SimTime at, std::function<void()> fn);

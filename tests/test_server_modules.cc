@@ -84,9 +84,6 @@ class ModuleHarness : public UpdatePublisher {
       case AggregateReq::kType:
         sim::Spawn(rename->HandleAggregateReq(std::move(p), std::move(v)));
         break;
-      case AggEntries::kType:
-        agg->HandleAggEntries(std::move(p), v);
-        break;
       case LookupReq::kType: {
         const auto* req = static_cast<const LookupReq*>(p.body.get());
         auto resp = std::make_shared<LookupResp>();
@@ -110,8 +107,15 @@ class ModuleHarness : public UpdatePublisher {
     if (p.body == nullptr) {
       return;
     }
-    if (p.body->type == AggDone::kType) {
-      agg->HandleAggDone(*static_cast<const AggDone*>(p.body.get()), vol);
+    switch (p.body->type) {
+      case AggEntries::kType:  // one-way reply to our collect
+        agg->HandleAggEntries(std::move(p), vol);
+        break;
+      case AggDone::kType:
+        agg->HandleAggDone(*static_cast<const AggDone*>(p.body.get()), vol);
+        break;
+      default:
+        break;
     }
   }
 
@@ -230,6 +234,8 @@ class PushHarness {
     VolPtr vol;
     std::unique_ptr<Aggregation> agg;
     std::unique_ptr<PushEngine> push;
+    int agg_dones_received = 0;
+    int drop_agg_entries = 0;  // AggEntries replies to drop on arrival
   };
 
   PushHarness()
@@ -261,9 +267,6 @@ class PushHarness {
       case PushReq::kType:
         sim::Spawn(n.push->HandlePush(std::move(p), std::move(v)));
         break;
-      case AggEntries::kType:
-        n.agg->HandleAggEntries(std::move(p), std::move(v));
-        break;
       default:
         break;
     }
@@ -277,7 +280,15 @@ class PushHarness {
       case AggCollect::kType:
         sim::Spawn(n.agg->HandleAggCollect(std::move(p), n.vol));
         break;
+      case AggEntries::kType:  // one-way reply to our collect
+        if (n.drop_agg_entries > 0) {
+          n.drop_agg_entries--;
+          break;
+        }
+        n.agg->HandleAggEntries(std::move(p), n.vol);
+        break;
       case AggDone::kType:
+        n.agg_dones_received++;
         n.agg->HandleAggDone(*static_cast<const AggDone*>(p.body.get()),
                              n.vol);
         break;
@@ -317,15 +328,22 @@ class PushHarness {
   // Appends `count` WAL-committed entries to src's change-log for (fp, dir)
   // and schedules the push (what a deferred-update commit does).
   void AppendAndSchedule(psw::Fingerprint fp, const InodeId& dir, int count) {
-    ChangeLog& clog = src.vol->GetChangeLog(fp, dir);
+    AppendUnpushed(src, fp, dir, count);
+    src.push->MaybeSchedulePush(src.vol, fp, dir);
+  }
+
+  // Appends `count` WAL-committed entries to `n`'s change-log for (fp, dir)
+  // without scheduling a push: only an aggregation collects them.
+  void AppendUnpushed(Node& n, psw::Fingerprint fp, const InodeId& dir,
+                      int count) {
+    ChangeLog& clog = n.vol->GetChangeLog(fp, dir);
     for (int i = 0; i < count; ++i) {
       const uint64_t seq = clog.last_appended_seq() + 1;
       ChangeLogEntry e = MakeEntry(seq, "e" + std::to_string(seq),
                                    OpType::kCreate, 100 + static_cast<int>(seq));
-      e.wal_lsn = src.durable.wal.Append(1, "op");
+      e.wal_lsn = n.durable.wal.Append(1, "op");
       clog.Restore(std::move(e));
     }
-    src.push->MaybeSchedulePush(src.vol, fp, dir);
   }
 
   size_t SrcPending(psw::Fingerprint fp, const InodeId& dir) {
@@ -752,14 +770,7 @@ TEST(PushEngineModule, AggregationMovedRowRebindsCollectedEntries) {
 
   // Pending entries at the source; no push scheduled — the owner's
   // aggregation collects them instead.
-  ChangeLog& clog = h.src.vol->GetChangeLog(old_fp, dir);
-  for (int i = 0; i < 4; ++i) {
-    const uint64_t seq = clog.last_appended_seq() + 1;
-    ChangeLogEntry e = MakeEntry(seq, "e" + std::to_string(seq),
-                                 OpType::kCreate, 100 + static_cast<int>(seq));
-    e.wal_lsn = h.src.durable.wal.Append(1, "op");
-    clog.Restore(std::move(e));
-  }
+  h.AppendUnpushed(h.src, old_fp, dir, 4);
   sim::Spawn(h.owner.agg->GateAndAggregate(h.owner.vol, old_fp));
   h.sim.Run();
 
@@ -960,21 +971,9 @@ TEST(AggregationModule, GateAndAggregateDrainsLocalChangeLog) {
   EXPECT_EQ(h.vol->ShardFor(fp).last_agg_complete.count(fp), 1u);
 }
 
-// ROADMAP fault path: a responder session whose initiator goes silent (it
-// crashed mid-aggregation) is reaped by the watchdog after
-// responder_session_timeout, releasing the shared change-log lock so later
-// writers are not blocked forever.
-TEST(AggregationModule, ResponderWatchdogReleasesAbandonedSession) {
-  ModuleHarness h;
-  h.config.responder_session_timeout = sim::Milliseconds(5);
-  const psw::Fingerprint fp = 77;
-
-  // Fake initiator: acks the AggEntries reply but never sends AggDone.
-  net::RpcEndpoint initiator(&h.sim, &h.net);
-  initiator.SetRequestHandler([&initiator](net::Packet p) {
-    initiator.Respond(p, net::MakeMsg<Ack>());
-  });
-
+// Hands `h`'s aggregation a collect for `fp` from the fake `initiator`.
+void DeliverCollect(ModuleHarness& h, const net::RpcEndpoint& initiator,
+                    psw::Fingerprint fp) {
   auto collect = std::make_shared<AggCollect>();
   collect->fp = fp;
   collect->initiator_server = 9;
@@ -985,19 +984,158 @@ TEST(AggregationModule, ResponderWatchdogReleasesAbandonedSession) {
   p.dst = h.rpc.id();
   p.body = collect;
   sim::Spawn(h.agg->HandleAggCollect(std::move(p), h.vol));
-  h.sim.Run();
+}
 
-  // Watchdog expired: session gone, and the change-log lock is free again —
-  // an exclusive acquire (what an upsert takes) completes immediately.
-  EXPECT_TRUE(h.vol->ShardFor(fp).agg_sessions.empty());
-  bool acquired = false;
+// True if an exclusive change-log acquire on `fp` (what an upsert takes)
+// completes without running the simulator, i.e. no one holds the lock.
+bool ChangeLogLockFree(ModuleHarness& h, psw::Fingerprint fp) {
+  auto acquired = std::make_shared<bool>(false);  // outlives a parked acquire
   sim::Spawn([](ModuleHarness* hh, psw::Fingerprint f,
-                bool* out) -> sim::Task<void> {
+                std::shared_ptr<bool> out) -> sim::Task<void> {
     auto lock = co_await hh->vol->ShardFor(f).changelog_locks.AcquireExclusive(FpKey(f));
     *out = true;
-  }(&h, fp, &acquired));
+  }(&h, fp, acquired));
+  return *acquired;
+}
+
+// Fault path: a responder session whose initiator goes silent (it crashed
+// mid-aggregation) is reaped by the watchdog after responder_session_timeout,
+// releasing the shared change-log lock so later writers are not blocked
+// forever. The responder holds pending entries, so the collect does open a
+// session.
+TEST(AggregationModule, ResponderWatchdogReleasesAbandonedSession) {
+  ModuleHarness h;
+  h.config.responder_session_timeout = sim::Milliseconds(5);
+  const InodeId dir = h.SeedDir(RootId(), "docs", /*tag=*/82);
+  const psw::Fingerprint fp = FingerprintOf(RootId(), "docs");
+  ChangeLog& clog = h.vol->GetChangeLog(fp, dir);
+  for (uint64_t s = 1; s <= 3; ++s) {
+    clog.Restore(MakeEntry(s, "f" + std::to_string(s), OpType::kCreate, s));
+  }
+
+  // Fake initiator: ignores the AggEntries reply and never sends AggDone.
+  net::RpcEndpoint initiator(&h.sim, &h.net);
+  DeliverCollect(h, initiator, fp);
+  h.sim.RunUntil(sim::Milliseconds(1));
+  ASSERT_EQ(h.vol->ShardFor(fp).agg_sessions.count(fp), 1u);
+  EXPECT_TRUE(h.vol->ShardFor(fp).agg_sessions.at(fp).lock.held());
   h.sim.Run();
-  EXPECT_TRUE(acquired);
+
+  // Watchdog expired: session gone, the change-log lock free again, and the
+  // pending entries kept for the next aggregation.
+  EXPECT_TRUE(h.vol->ShardFor(fp).agg_sessions.empty());
+  EXPECT_TRUE(ChangeLogLockFree(h, fp));
+  EXPECT_EQ(clog.size(), 3u);
+}
+
+// A collect at a responder with nothing pending opens no session and spawns
+// no watchdog: it replies (empty) and its shared change-log lock is free the
+// moment the reply is out.
+TEST(AggregationModule, EmptyResponderOpensNoSession) {
+  ModuleHarness h;
+  h.config.responder_session_timeout = sim::Milliseconds(5);
+  const psw::Fingerprint fp = 78;
+
+  int replies = 0;
+  size_t reply_dirs = 1;
+  net::RpcEndpoint initiator(&h.sim, &h.net);
+  initiator.SetRawHandler([&replies, &reply_dirs](net::Packet p) {
+    if (const auto* msg = net::MsgAs<AggEntries>(p.body)) {
+      replies++;
+      reply_dirs = msg->dirs.size();
+    }
+  });
+  DeliverCollect(h, initiator, fp);
+  h.sim.Run();
+
+  EXPECT_EQ(replies, 1);
+  EXPECT_EQ(reply_dirs, 0u);
+  EXPECT_TRUE(h.vol->ShardFor(fp).agg_sessions.empty());
+  EXPECT_LT(h.sim.Now(), h.config.responder_session_timeout)
+      << "no watchdog was left ticking";
+  EXPECT_TRUE(ChangeLogLockFree(h, fp));
+}
+
+// Only the initiator has entries: the round applies them locally, every
+// responder replies empty, and no AggDone goes out.
+TEST(AggregationModule, InitiatorOnlyEntriesSkipAggDone) {
+  PushHarness h;
+  const InodeId parent = RootId();
+  const std::string name = h.NameOwnedBy(parent, 1, "ai");
+  const psw::Fingerprint fp = FingerprintOf(parent, name);
+  const InodeId dir = h.SeedDirAt(h.owner, parent, name, 806);
+  h.AppendUnpushed(h.owner, fp, dir, 3);
+
+  sim::Spawn(h.owner.agg->GateAndAggregate(h.owner.vol, fp));
+  h.sim.Run();
+
+  EXPECT_EQ(h.owner.stats.aggregations, 1u);
+  EXPECT_EQ(h.owner.stats.entries_applied, 3u);
+  EXPECT_EQ(h.owner.stats.agg_done_skipped, 1u);
+  EXPECT_EQ(h.src.agg_dones_received, 0);
+  EXPECT_TRUE(h.src.vol->ShardFor(fp).agg_sessions.empty());
+  EXPECT_EQ(h.owner.vol->GetChangeLog(fp, dir).size(), 0u);
+  EXPECT_EQ(h.OwnerAttr(parent, name).size, 3u);
+  for (const kv::WalRecord& r : h.owner.durable.wal.records()) {
+    if (r.type == 1) {
+      EXPECT_TRUE(r.applied);
+    }
+  }
+  ServerStats total;
+  AccumulateServerStats(total, h.owner.stats);
+  AccumulateServerStats(total, h.src.stats);
+  EXPECT_EQ(total.agg_done_skipped, 1u);
+}
+
+// A remote responder with entries still gets its AggDone: the initiator
+// applies them, and the AggDone trims the responder's log, marks its WAL
+// records applied and closes its session.
+TEST(AggregationModule, RemoteEntriesStillSendAggDone) {
+  PushHarness h;
+  const InodeId parent = RootId();
+  const std::string name = h.NameOwnedBy(parent, 1, "ar");
+  const psw::Fingerprint fp = FingerprintOf(parent, name);
+  const InodeId dir = h.SeedDirAt(h.owner, parent, name, 807);
+  h.AppendUnpushed(h.src, fp, dir, 4);
+
+  sim::Spawn(h.owner.agg->GateAndAggregate(h.owner.vol, fp));
+  h.sim.Run();
+
+  EXPECT_EQ(h.owner.stats.entries_applied, 4u);
+  EXPECT_EQ(h.owner.stats.agg_done_skipped, 0u);
+  EXPECT_EQ(h.src.agg_dones_received, 1);
+  EXPECT_EQ(h.SrcPending(fp, dir), 0u);
+  EXPECT_TRUE(h.src.vol->ShardFor(fp).agg_sessions.empty());
+  EXPECT_EQ(h.OwnerAttr(parent, name).size, 4u);
+  for (const kv::WalRecord& r : h.src.durable.wal.records()) {
+    EXPECT_TRUE(r.applied);
+  }
+}
+
+// A lost AggEntries reply is recovered by the initiator's collect retry
+// (fresh remove seq after agg_reply_timeout): the round completes, every
+// entry is applied exactly once, and the responder's session is closed.
+TEST(AggregationModule, LostAggEntriesRecoveredByCollectRetry) {
+  PushHarness h;
+  h.owner.drop_agg_entries = 1;
+  const InodeId parent = RootId();
+  const std::string name = h.NameOwnedBy(parent, 1, "al");
+  const psw::Fingerprint fp = FingerprintOf(parent, name);
+  const InodeId dir = h.SeedDirAt(h.owner, parent, name, 808);
+  h.AppendUnpushed(h.src, fp, dir, 5);
+
+  sim::Spawn(h.owner.agg->GateAndAggregate(h.owner.vol, fp));
+  h.sim.Run();
+
+  EXPECT_EQ(h.owner.drop_agg_entries, 0) << "the first reply was dropped";
+  EXPECT_EQ(h.owner.stats.agg_retries, 1u);
+  EXPECT_EQ(h.owner.stats.entries_applied, 5u);
+  EXPECT_EQ(h.owner.stats.entries_deduped, 0u);
+  EXPECT_EQ(h.OwnerAttr(parent, name).size, 5u);
+  EXPECT_EQ(h.owner.vol->kv.CountPrefix(EntryPrefix(dir)), 5u);
+  EXPECT_EQ(h.src.agg_dones_received, 1);
+  EXPECT_EQ(h.SrcPending(fp, dir), 0u);
+  EXPECT_TRUE(h.src.vol->ShardFor(fp).agg_sessions.empty());
 }
 
 // §5.2 orphaned-loop prevention: moving a directory under one of its own

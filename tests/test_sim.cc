@@ -59,6 +59,25 @@ TEST(Simulator, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 3);
 }
 
+TEST(Simulator, EventsExecutedCountsEveryExecutedEvent) {
+  Simulator sim;
+  EXPECT_EQ(sim.events_executed(), 0u);
+  sim.ScheduleAt(10, [&] {
+    sim.ScheduleAfter(5, [] {});  // nested events count too
+  });
+  sim.ScheduleAt(20, [] {});
+  sim.ScheduleAt(30, [] {});
+  sim.RunUntil(20);
+  EXPECT_EQ(sim.events_executed(), 3u);
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(sim.events_executed(), 4u);
+  EXPECT_FALSE(sim.Step());  // empty queue: nothing executed
+  EXPECT_EQ(sim.events_executed(), 4u);
+  sim.ScheduleAfter(1, [] {});
+  sim.Run();
+  EXPECT_EQ(sim.events_executed(), 5u);
+}
+
 TEST(Simulator, NestedSchedulingAdvancesTime) {
   Simulator sim;
   std::vector<SimTime> times;
